@@ -10,7 +10,6 @@ import (
 
 	"rowsim/internal/bench"
 	"rowsim/internal/experiments"
-	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 )
 
@@ -35,13 +34,12 @@ var benchSuite = []struct {
 }
 
 // benchSuiteOptions mirrors bench_test.go's benchOptions.
-func benchSuiteOptions(sched sim.Scheduler) experiments.Options {
+func benchSuiteOptions() experiments.Options {
 	return experiments.Options{
 		Cores:     8,
 		Instrs:    3000,
 		Seed:      1,
 		Workloads: []string{"canneal", "sps"},
-		Sched:     sched,
 	}
 }
 
@@ -56,7 +54,7 @@ const benchReps = 3
 // time, simulated-cycle throughput, allocations), writes the JSON
 // report, and — when a baseline is given — fails on wall-time
 // regressions beyond maxRegress.
-func runBenchSuite(outPath, basePath string, maxRegress float64, jobs int, quiet bool, sched sim.Scheduler) int {
+func runBenchSuite(outPath, basePath string, maxRegress float64, jobs int, quiet bool) int {
 	rep := bench.New(gitRev(), experiments.Jobs(jobs))
 	for _, fb := range benchSuite {
 		var e bench.Entry
@@ -64,7 +62,7 @@ func runBenchSuite(outPath, basePath string, maxRegress float64, jobs int, quiet
 			// A fresh runner per repetition keeps the memo cold: each
 			// measurement is the figure's full simulation cost, not
 			// whatever a previous pass happened to share.
-			r := experiments.NewRunner(benchSuiteOptions(sched))
+			r := experiments.NewRunner(benchSuiteOptions())
 			r.SetJobs(jobs)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -24,7 +24,6 @@ import (
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/profiling"
-	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/viz"
 	"rowsim/internal/workload"
@@ -75,7 +74,6 @@ func run() (code int) {
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
 		quiet     = flag.Bool("q", false, "suppress per-run progress")
 		jobs      = flag.Int("jobs", 0, "parallel simulation workers for figure sweeps (<1 = GOMAXPROCS); output is identical for any value")
-		schedFlag = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 
 		benchJSON  = flag.String("bench-json", "", "run the figure benchmark suite and write a JSON report to this path")
 		benchBase  = flag.String("bench-baseline", "", "with -bench-json: compare against this baseline report and fail on regression")
@@ -86,12 +84,6 @@ func run() (code int) {
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
-
-	sched, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
@@ -108,7 +100,7 @@ func run() (code int) {
 	}()
 
 	if *benchJSON != "" {
-		return runBenchSuite(*benchJSON, *benchBase, *maxRegress, *jobs, *quiet, sched)
+		return runBenchSuite(*benchJSON, *benchBase, *maxRegress, *jobs, *quiet)
 	}
 
 	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
@@ -116,7 +108,7 @@ func run() (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := experiments.Options{Cores: *cores, Instrs: *instrs, Seed: *seed, Sched: sched}
+	opt := experiments.Options{Cores: *cores, Instrs: *instrs, Seed: *seed}
 	if *wls != "" {
 		opt.Workloads = strings.Split(*wls, ",")
 		for _, w := range opt.Workloads {

@@ -29,7 +29,6 @@ func main() {
 		cores   = flag.Int("cores", 32, "number of cores")
 		instrs  = flag.Int("instrs", 0, "instructions per core (0 = workload default)")
 		seed    = flag.Uint64("seed", 1, "trace generation seed")
-		schedF  = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 		fwd     = flag.Bool("fwd", true, "enable store-to-atomic forwarding")
 		list    = flag.Bool("list", false, "list workloads and exit")
 		verbose = flag.Bool("v", false, "print extended statistics")
@@ -37,12 +36,6 @@ func main() {
 		traceIn = flag.String("tracefile", "", "replay a trace file (from rowtrace -save) instead of generating")
 	)
 	flag.Parse()
-
-	sched, err := sim.ParseScheduler(*schedF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, n := range workload.Names() {
@@ -120,7 +113,7 @@ func main() {
 	} else {
 		progs = workload.Generate(p, *cores, *instrs, *seed)
 	}
-	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(sched))
+	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -164,13 +157,13 @@ func main() {
 		fmt.Println(t)
 	}
 	if *verbose {
-		// Scheduler bookkeeping stays out of the default output so the
-		// CI mode-equivalence diff compares runs across -sched values.
+		// The visited-cycle count is event-loop bookkeeping, not a
+		// simulated result, so it stays out of the default output.
 		skip := 0.0
 		if r.Cycles > 0 {
 			skip = 1 - float64(r.CyclesVisited)/float64(r.Cycles)
 		}
-		fmt.Printf("sched           %s (visited %d of %d cycles, %.1f%% skipped)\n", sched, r.CyclesVisited, r.Cycles, skip*100)
+		fmt.Printf("visited         %d of %d cycles (%.1f%% skipped)\n", r.CyclesVisited, r.Cycles, skip*100)
 		fmt.Printf("older-unexec@eager   %.1f\n", r.OlderUnexecAtEager)
 		fmt.Printf("younger-started@lazy %.1f\n", r.YoungerStartedAtLazy)
 		fmt.Printf("load forwards   %d\n", r.LoadForwards)

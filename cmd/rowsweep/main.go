@@ -66,7 +66,6 @@ func run() int {
 		cores   = flag.Int("cores", 32, "number of cores")
 		instrs  = flag.Int("instrs", 8000, "instructions per core")
 		seed    = flag.Uint64("seed", 1, "trace seed (0 selects the documented default seed)")
-		schedF  = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 		format  = flag.String("format", "text", "output format: text, csv")
 		journal = flag.String("journal", "", "write a crash-safe JSONL run journal to this path")
 		resume  = flag.String("resume", "", "resume an interrupted sweep from its journal (re-runs only missing cells)")
@@ -151,12 +150,8 @@ func run() int {
 		*name, *param, *values = a["workload"], a["param"], a["values"]
 		*cores = atoi(a["cores"])
 		*instrs = atoi(a["instrs"])
-		// Journals written before the event scheduler existed have no
-		// "sched" key; the scheduler does not change results, so those
-		// resume under the flag's (default) mode.
-		if v, ok := a["sched"]; ok {
-			*schedF = v
-		}
+		// Older journals may carry a "sched" key naming the simulation
+		// loop; both loops produce identical results, so it is ignored.
 		s, perr := strconv.ParseUint(a["seed"], 10, 64)
 		if perr != nil {
 			fmt.Fprintf(os.Stderr, "corrupt journal meta: bad seed %q\n", a["seed"])
@@ -173,7 +168,6 @@ func run() int {
 				"cores":    strconv.Itoa(*cores),
 				"instrs":   strconv.Itoa(*instrs),
 				"seed":     strconv.FormatUint(*seed, 10),
-				"sched":    *schedF,
 			},
 		})
 		if err != nil {
@@ -203,12 +197,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-	}
-
-	sched, err := sim.ParseScheduler(*schedF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
 	}
 
 	// The parameter set is shared with rowserve (internal/serve): one
@@ -284,7 +272,7 @@ func run() int {
 		out := sup.Do(ctx, lifecycle.Job{Key: c.key, Seed: *seed, Checkpoint: cpath}, func(runCtx context.Context) (sim.Result, error) {
 			progs := workload.Generate(c.wp, *cores, *instrs, *seed)
 			cfg := cellCfg(c.pcfg, *cores)
-			opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(c.wp)), sim.WithScheduler(sched)}
+			opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(c.wp))}
 			if cpath != "" && *ckptEvery > 0 {
 				opts = append(opts, sim.WithCheckpoint(*ckptEvery, checkpoint.Saver(cpath, ckey)))
 			}

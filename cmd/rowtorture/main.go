@@ -24,7 +24,9 @@
 //
 //	rowtorture -seed 0x3a41 -wl cq -variant "RW+Dir_Sat" -cores 8 -instrs 2500 -faults "jitter=0.5:16"
 //
-// re-executes exactly that run and prints its outcome.
+// re-executes exactly that run under the event loop, then replays it
+// under the cycle loop as the sweep does, and prints both outcomes; a
+// replay mismatch fails the repro just as it failed the sweep.
 //
 // Witness-replay mode (triggered by -replay) re-executes a one-line
 // counterexample emitted by the rowcheck model checker against the
@@ -47,7 +49,6 @@ import (
 	"rowsim/internal/faults"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/mcheck"
-	"rowsim/internal/sim"
 	"rowsim/internal/torture"
 )
 
@@ -68,7 +69,6 @@ func run() int {
 		replay  = flag.Int("replay-every", 5, "replay every Nth run for determinism (0 = off)")
 		check   = flag.Uint64("check-every", 4096, "coherence-invariant check interval in cycles (0 = off)")
 		budget  = flag.Uint64("max-cycles", 20_000_000, "per-run cycle budget (simulated cycles)")
-		schedF  = flag.String("sched", "event", "scheduler for primary runs: event or cycle; determinism replays run under the opposite one")
 		journal = flag.String("journal", "", "write a crash-safe JSONL run journal to this path")
 		resume  = flag.String("resume", "", "resume an interrupted sweep from its journal")
 		timeout = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
@@ -82,17 +82,11 @@ func run() int {
 	)
 	flag.Parse()
 
-	sched, serr := sim.ParseScheduler(*schedF)
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, serr)
-		return 2
-	}
-
 	if *witness != "" {
 		return replayWitness(*witness)
 	}
 	if *wl != "" {
-		return repro(*seed, *wl, *variant, *cores, *instrs, *spec, *check, *budget, sched)
+		return repro(*seed, *wl, *variant, *cores, *instrs, *spec, *check, *budget)
 	}
 
 	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
@@ -135,15 +129,12 @@ func run() int {
 		*replay = atoi(a["replay-every"])
 		*check = uint64(atoi(a["check-every"]))
 		*budget = uint64(atoi(a["max-cycles"]))
-		// Journals from before the event scheduler have no "sched" key;
-		// the scheduler does not change results, so those resume under
-		// the flag's (default) mode.
-		if v, ok := a["sched"]; ok {
-			sched, serr = sim.ParseScheduler(v)
-			if serr != nil {
-				fmt.Fprintf(os.Stderr, "corrupt journal meta: bad sched %q\n", v)
-				return 2
-			}
+		// Older journals may carry a "sched" key naming the primary
+		// loop; both loops produce identical results, so it is ignored,
+		// except that a cycle-loop sweep keyed its runs with a trailing
+		// scheduler flag that the current repro lines no longer carry.
+		if a["sched"] == "cycle" {
+			snap.Runs = rekeyCycleLoopRuns(snap.Runs)
 		}
 	case *journal != "":
 		jnl, err = lifecycle.Create(*journal, lifecycle.Record{
@@ -156,7 +147,6 @@ func run() int {
 				"replay-every": strconv.Itoa(*replay),
 				"check-every":  strconv.FormatUint(*check, 10),
 				"max-cycles":   strconv.FormatUint(*budget, 10),
-				"sched":        sched.String(),
 			},
 		})
 		if err != nil {
@@ -191,7 +181,6 @@ func run() int {
 		Runs:            *n,
 		Workers:         *workers,
 		Seed:            *seed,
-		Sched:           sched,
 		Cores:           parseInts(*cores),
 		Instrs:          parseInts(*instrs),
 		ReplayEvery:     *replay,
@@ -227,9 +216,9 @@ func run() int {
 	return 0
 }
 
-// repro re-executes one run and reports its outcome; the exit code is
-// 0 only when the run completes cleanly.
-func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, budget uint64, sched sim.Scheduler) int {
+// repro re-executes one run and its cycle-loop replay and reports the
+// outcome; the exit code is 0 only when both complete cleanly and agree.
+func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, budget uint64) int {
 	fc, err := faults.ParseSpec(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -244,17 +233,32 @@ func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, bu
 		Faults:     fc,
 		CheckEvery: check,
 		MaxCycles:  budget,
-		Sched:      sched,
 	}
 	fmt.Println(rs.ReproLine())
-	res, err := torture.Execute(rs)
+	res, _, err := torture.Reproduce(context.Background(), rs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "FAIL [%s]\n%v\n", torture.Classify(err), err)
 		return 1
 	}
-	fmt.Printf("ok: %d cycles, %d committed, IPC %.2f, %d network messages\n",
+	fmt.Printf("ok: %d cycles, %d committed, IPC %.2f, %d network messages; cycle-loop replay identical\n",
 		res.Cycles, res.Committed, res.IPC, res.NetworkMessages)
 	return 0
+}
+
+// rekeyCycleLoopRuns rekeys the runs of a journal written by a
+// cycle-loop sweep to the current repro lines, which end at the quoted
+// fault spec. A record already under the current key is newer (written
+// by a resume), so it wins.
+func rekeyCycleLoopRuns(runs map[string]lifecycle.Record) map[string]lifecycle.Record {
+	out := make(map[string]lifecycle.Record, len(runs))
+	for k, rec := range runs {
+		base := k[:strings.LastIndexByte(k, '"')+1]
+		if _, newer := runs[base]; base != k && newer {
+			continue
+		}
+		out[base] = rec
+	}
+	return out
 }
 
 // replayWitness strictly re-executes a rowcheck counterexample. Exit 1

@@ -37,10 +37,6 @@ type Options struct {
 	// design, and the resolved value is what gets journaled).
 	Seed      uint64
 	Workloads []string // default: the 13 atomic-intensive workloads
-	// Sched selects the simulation scheduler for every run. The zero
-	// value is sim.SchedEvent; results are identical either way (only
-	// wall time and the visited-cycle bookkeeping differ).
-	Sched sim.Scheduler
 }
 
 func (o Options) withDefaults() Options {
@@ -203,7 +199,7 @@ func (r *Runner) RunCtx(ctx context.Context, wl string, v Variant) (sim.Result, 
 		}
 		progs := workload.Generate(p, r.opt.Cores, r.opt.Instrs, r.opt.Seed)
 		cfg := v.Config(r.opt.Cores)
-		s, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(r.opt.Sched))
+		s, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)))
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %w", err)
 		}
@@ -249,7 +245,7 @@ func (r *Runner) MustRun(wl string, v Variant) sim.Result {
 // under the runner's base context and supervisor, when set.
 func (r *Runner) RunPrograms(cfg *config.Config, progs []trace.Program) (sim.Result, error) {
 	exec := func(ctx context.Context) (sim.Result, error) {
-		s, err := sim.New(cfg, progs, sim.WithScheduler(r.opt.Sched))
+		s, err := sim.New(cfg, progs)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %w", err)
 		}
@@ -289,9 +285,8 @@ func (r *Runner) SimulatedCycles() uint64 {
 	return r.cycles
 }
 
-// VisitedCycles returns the total cycles those runs actually visited:
-// equal to SimulatedCycles under sim.SchedCycle, smaller under
-// sim.SchedEvent. 1 - visited/simulated is the skip efficiency.
+// VisitedCycles returns the total cycles those runs' event loops
+// actually visited; 1 - visited/simulated is the skip efficiency.
 func (r *Runner) VisitedCycles() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

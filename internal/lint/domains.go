@@ -112,7 +112,7 @@ type SeamKind string
 
 const (
 	// SeamSameIndex: the crossing stays on one shard because core[i],
-	// cache[i] and bank[i] of the same index are co-scheduled. The body
+	// cache[i] and bank[i] of the same index share a shard. The body
 	// may only write its own instance's state and message payloads.
 	SeamSameIndex SeamKind = "same-index"
 	// SeamBuffered: the crossing is deferred through the interconnect.

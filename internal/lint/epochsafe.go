@@ -18,7 +18,7 @@ import (
 //     checkable kind (same-index, buffered, reduction, init-only) and
 //     the analyzer proves the seam's body — and, for seams declared on
 //     interface methods, every implementation in the module — honours
-//     it. A same-index seam may only write its own co-scheduled
+//     it. A same-index seam may only write its own same-shard
 //     instance and message payloads; a buffered seam may only write
 //     message payloads and enqueue into mesh state; a reduction seam
 //     may only bump commutative accumulators on sim-global state; an

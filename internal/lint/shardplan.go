@@ -22,11 +22,11 @@ type ShardPlan struct {
 	Module  string `json:"module"`
 	// Entries are the //rowlint:entry run-loop roots the proofs walk
 	// from.
-	Entries []string         `json:"entries"`
-	Epoch   EpochBound       `json:"epoch"`
+	Entries []string          `json:"entries"`
+	Epoch   EpochBound        `json:"epoch"`
 	Shards  []ShardAssignment `json:"shards"`
-	Seams   []SeamVerdict    `json:"seams"`
-	Checks  PlanChecks       `json:"checks"`
+	Seams   []SeamVerdict     `json:"seams"`
+	Checks  PlanChecks        `json:"checks"`
 }
 
 // shardPlanVersion bumps when the schema changes shape.
@@ -109,8 +109,8 @@ var shardAssignments = []struct {
 	domain     Domain
 	assignment string
 }{
-	{DomainCore, "per-index: core[i] runs on shard i, co-scheduled with cache[i] so same-index seams stay shard-local"},
-	{DomainCache, "per-index: cache[i] runs on shard i, co-scheduled with core[i] so same-index seams stay shard-local"},
+	{DomainCore, "per-index: core[i] runs on shard i, together with cache[i] so same-index seams stay shard-local"},
+	{DomainCache, "per-index: cache[i] runs on shard i, together with core[i] so same-index seams stay shard-local"},
 	{DomainBank, "per-index: bank[i] runs on shard hash(i); banks never touch each other, only the mesh"},
 	{DomainMesh, "barrier-exchanged: the mesh is the one cross-shard channel; enqueued messages are drained and delivered at epoch boundaries"},
 	{DomainSimGlobal, "replicated: each shard keeps a replica (clock, pools, sinks) and reduction seams merge them at epoch boundaries"},

@@ -68,7 +68,7 @@ func (r *Router) Push(v uint64) { r.queue = append(r.queue, v) }
 //
 //rowlint:owner cache[i]
 type Sink interface {
-	// Ingest accepts one value from the co-scheduled core.
+	// Ingest accepts one value from the same-index core.
 	//
 	//rowlint:seam same-index core→cache handoff; core[i] and cache[i] share a shard
 	Ingest(v uint64)

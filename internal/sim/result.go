@@ -7,15 +7,15 @@ import "rowsim/internal/stats"
 type Result struct {
 	// Cycles is the parallel execution time: the cycle at which the
 	// last core finished. This is the cycles-advanced count — simulated
-	// time is identical in both scheduler modes.
+	// time is identical under the event loop and the cycle loop.
 	Cycles uint64
 
-	// CyclesVisited is the number of cycles the scheduler actually
-	// simulated: equal to Cycles under SchedCycle, usually far smaller
-	// under SchedEvent (1 - CyclesVisited/Cycles is the skip
-	// efficiency). It is the only Result field that legitimately
-	// differs between scheduler modes; compare runs across modes with
-	// SchedNormalized.
+	// CyclesVisited is the number of cycles the loop actually
+	// simulated: usually far smaller than Cycles under the event loop
+	// (1 - CyclesVisited/Cycles is the skip efficiency), equal to it
+	// under the WithCycleLoop reference. It is the only Result field
+	// that legitimately differs between the two loops; compare runs
+	// across them with SchedNormalized.
 	CyclesVisited uint64
 
 	Committed uint64
@@ -67,7 +67,7 @@ type Result struct {
 
 // SchedNormalized returns the result with the scheduler-dependent
 // bookkeeping zeroed: two runs of the same workload must compare equal
-// under it regardless of scheduler mode.
+// under it whether they ran the event loop or the cycle loop.
 func (r Result) SchedNormalized() Result {
 	r.CyclesVisited = 0
 	return r //rowlint:ignore bigcopy per-run result value, built once at run exit

@@ -5,47 +5,6 @@ import (
 	"fmt"
 )
 
-// Scheduler selects how RunCtx advances simulated time.
-type Scheduler uint8
-
-const (
-	// SchedEvent jumps the clock directly to the earliest future
-	// wake-up across all components, skipping dead cycles entirely.
-	// It is the default: the zero value of every Options struct and
-	// CLI that embeds a Scheduler.
-	SchedEvent Scheduler = iota
-	// SchedCycle ticks every component every cycle — the reference
-	// loop the event scheduler is checked against.
-	SchedCycle
-)
-
-// String renders the CLI spelling of the mode.
-func (m Scheduler) String() string {
-	if m == SchedCycle {
-		return "cycle"
-	}
-	return "event"
-}
-
-// Other returns the opposite scheduler (mode-equivalence replays).
-func (m Scheduler) Other() Scheduler {
-	if m == SchedCycle {
-		return SchedEvent
-	}
-	return SchedCycle
-}
-
-// ParseScheduler maps a -sched flag value to a Scheduler.
-func ParseScheduler(s string) (Scheduler, error) {
-	switch s {
-	case "event":
-		return SchedEvent, nil
-	case "cycle":
-		return SchedCycle, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want cycle or event)", s)
-}
-
 // runEvent is the next-event loop. Each iteration computes the
 // earliest future cycle at which anything can happen — a mesh arrival,
 // a cache pipeline event or forced-release expiry, a core wheel event

@@ -30,11 +30,41 @@ func schedBuild(t *testing.T, policy config.AtomicPolicy, wl string, fc faults.C
 	return s
 }
 
+// loopOpts selects the WithCycleLoop reference when cycle is set and
+// the default event loop otherwise.
+func loopOpts(cycle bool) []Option {
+	if cycle {
+		return []Option{WithCycleLoop()}
+	}
+	return nil
+}
+
+// rowsimBuild assembles a system the way cmd/rowsim does for
+// `-workload wl -policy policy -cores 8 -instrs 4000`: default config
+// (rwdir detection, ud predictor, forwarding on), early address
+// calculation for RoW only, seed 1 and the workload's warm filter.
+func rowsimBuild(t *testing.T, policy config.AtomicPolicy, wl string, opts ...Option) *System {
+	t.Helper()
+	cfg := config.Default()
+	cfg.NumCores = 8
+	cfg.Policy = policy
+	cfg.EarlyAddrCalc = policy == config.PolicyRoW && cfg.RoW.Detection != config.DetectEW
+	p := workload.MustGet(wl)
+	progs := workload.Generate(p, cfg.NumCores, 4000, 1)
+	s, err := New(cfg, progs, append([]Option{WithWarmFilter(workload.WarmFilter(p))}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestSchedulerModeEquivalence is the headline property of the event
 // scheduler: over eager and lazy policies, with and without fault
 // injection, the event-driven run must produce a Result byte-identical
-// to the cycle-driven reference (modulo the visited-cycle bookkeeping)
-// — and must actually have skipped cycles to earn its keep.
+// to the WithCycleLoop reference (modulo the visited-cycle
+// bookkeeping) — and must actually have skipped cycles to earn its
+// keep. The rowsim_ rows are built as cmd/rowsim builds them, and the
+// normalized Result covers every field rowsim prints by default.
 func TestSchedulerModeEquivalence(t *testing.T) {
 	jitter := faults.Config{Seed: 9, JitterProb: 0.3, JitterMax: 12}
 	reorder := faults.Config{Seed: 5, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64}
@@ -43,6 +73,7 @@ func TestSchedulerModeEquivalence(t *testing.T) {
 		policy config.AtomicPolicy
 		wl     string
 		faults faults.Config
+		rowsim bool
 	}{
 		{name: "eager_sps", policy: config.PolicyEager, wl: "sps"},
 		{name: "eager_cq_jitter", policy: config.PolicyEager, wl: "cq", faults: jitter},
@@ -51,10 +82,18 @@ func TestSchedulerModeEquivalence(t *testing.T) {
 		{name: "row_pc", policy: config.PolicyRoW, wl: "pc"},
 		{name: "row_cq_jitter", policy: config.PolicyRoW, wl: "cq", faults: jitter},
 		{name: "far_tas", policy: config.PolicyFar, wl: "tas"},
+		{name: "rowsim_cq_row", policy: config.PolicyRoW, wl: "cq", rowsim: true},
+		{name: "rowsim_sps_lazy", policy: config.PolicyLazy, wl: "sps", rowsim: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cycle := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedCycle)).MustRun()
-			event := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedEvent)).MustRun()
+			build := func(opts ...Option) *System {
+				if tc.rowsim {
+					return rowsimBuild(t, tc.policy, tc.wl, opts...)
+				}
+				return schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, opts...)
+			}
+			cycle := build(WithCycleLoop()).MustRun()
+			event := build().MustRun()
 			if cycle.SchedNormalized() != event.SchedNormalized() {
 				t.Fatalf("schedulers diverge:\ncycle: %+v\nevent: %+v", cycle, event)
 			}
@@ -90,8 +129,8 @@ func TestEventCrossCheckClean(t *testing.T) {
 // reference exactly — hit latencies, miss fills, and the lock-window
 // tail included.
 func TestEventModeLatenciesUnchanged(t *testing.T) {
-	cycle := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedCycle)).MustRun()
-	event := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedEvent)).MustRun()
+	cycle := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithCycleLoop()).MustRun()
+	event := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000).MustRun()
 	for _, c := range []struct {
 		name      string
 		got, want float64
@@ -110,31 +149,31 @@ func TestEventModeLatenciesUnchanged(t *testing.T) {
 	}
 }
 
-// TestCrossModeCheckpointRestore: a checkpoint taken under one
-// scheduler must restore into the other and finish with the same
+// TestCrossModeCheckpointRestore: a checkpoint taken under one loop
+// must restore into the other and finish with the same
 // normalized result as an uninterrupted run. The snapshot is
 // round-tripped through JSON, as the on-disk checkpoint would be.
 func TestCrossModeCheckpointRestore(t *testing.T) {
 	jitter := faults.Config{Seed: 7, JitterProb: 0.2, JitterMax: 10}
 	for _, tc := range []struct {
-		name     string
-		from, to Scheduler
-		faults   faults.Config
+		name               string
+		fromCycle, toCycle bool
+		faults             faults.Config
 	}{
-		{name: "event_to_cycle", from: SchedEvent, to: SchedCycle},
-		{name: "cycle_to_event", from: SchedCycle, to: SchedEvent},
-		{name: "event_to_cycle_jitter", from: SchedEvent, to: SchedCycle, faults: jitter},
-		{name: "cycle_to_event_jitter", from: SchedCycle, to: SchedEvent, faults: jitter},
+		{name: "event_to_cycle", toCycle: true},
+		{name: "cycle_to_event", fromCycle: true},
+		{name: "event_to_cycle_jitter", toCycle: true, faults: jitter},
+		{name: "cycle_to_event_jitter", fromCycle: true, faults: jitter},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.to)).MustRun()
+			want := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, loopOpts(tc.toCycle)...).MustRun()
 
 			var snaps []SysSnap
-			s := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.from),
+			s := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, append(loopOpts(tc.fromCycle),
 				WithCheckpoint(2048, func(cycle uint64, snap *SysSnap) error {
 					snaps = append(snaps, *snap)
 					return nil
-				}))
+				}))...)
 			if _, err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +190,7 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.to))
+			resumed := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, loopOpts(tc.toCycle)...)
 			if err := resumed.RestoreSnap(&decoded); err != nil {
 				t.Fatal(err)
 			}
@@ -160,33 +199,6 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 				t.Fatalf("cross-mode resume (%s) diverged:\n got %+v\nwant %+v", tc.name, got, want)
 			}
 		})
-	}
-}
-
-// TestSchedulerStuckPanics: defensive check that a wake in the past
-// cannot silently rewind the clock — components clamp their own
-// NextEventAt, and the loop refuses a non-advancing target.
-func TestParseScheduler(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Scheduler
-		ok   bool
-	}{
-		{"event", SchedEvent, true},
-		{"cycle", SchedCycle, true},
-		{"", 0, false},
-		{"events", 0, false},
-	} {
-		got, err := ParseScheduler(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if SchedEvent.String() != "event" || SchedCycle.String() != "cycle" {
-		t.Errorf("String(): %q, %q", SchedEvent, SchedCycle)
-	}
-	if SchedEvent.Other() != SchedCycle || SchedCycle.Other() != SchedEvent {
-		t.Error("Other() does not flip the mode")
 	}
 }
 

@@ -35,7 +35,7 @@ type System struct {
 	checkEvery uint64
 	watchdog   uint64
 	crossCheck bool
-	sched      Scheduler
+	cycleLoop  bool
 
 	ckptEvery uint64
 	ckptFn    func(cycle uint64, snap *SysSnap) error
@@ -71,26 +71,29 @@ func WithFaults(cfg faults.Config) Option {
 	}
 }
 
-// WithCrossCheck verifies the cycle loop's idle-skip decisions: every
-// component the loop would skip is run anyway and asserted to be a
-// no-op (empty drain for banks, unchanged work counter for caches).
-// A violated skip panics — it means the skip conditions are wrong and
-// results could silently diverge from the always-tick loop. Enabled in
-// tests and the torture harness; too slow for real runs (it defeats
-// the skipping it checks).
+// WithCrossCheck verifies the running loop's idle-skip decisions:
+// every component the loop would skip is run anyway and asserted to be
+// a no-op (empty drain for banks, unchanged work counter for caches
+// and cores). The event loop additionally visits every cycle, so every
+// tick its wake times said was skippable is replayed. A violated skip
+// panics — it means the skip conditions are wrong and results could
+// silently diverge from the always-tick loop. Enabled in tests and the
+// torture harness; too slow for real runs (it defeats the skipping it
+// checks).
 func WithCrossCheck() Option {
 	return func(s *System) { s.crossCheck = true }
 }
 
-// WithScheduler selects the simulation loop: SchedEvent (the default)
-// advances the clock directly to the next scheduled wake-up, SchedCycle
-// is the reference lock-step loop. Both produce byte-identical Results
-// (modulo CyclesVisited; see Result.SchedNormalized). The scheduler is
-// deliberately not part of config.Config: it cannot change results, so
-// it stays out of checkpoint content keys, and a checkpoint taken in
-// one mode restores into the other.
-func WithScheduler(m Scheduler) Option {
-	return func(s *System) { s.sched = m }
+// WithCycleLoop runs the reference lock-step loop, which ticks every
+// component every cycle, instead of the event loop. It exists as the
+// oracle the event loop is checked against (equivalence tests and the
+// torture harness's replays) and produces a byte-identical Result
+// (modulo CyclesVisited; see Result.SchedNormalized). It is a
+// construction-time option, deliberately outside config.Config and
+// the snapshot, so a checkpoint taken under one loop restores into the
+// other.
+func WithCycleLoop() Option {
+	return func(s *System) { s.cycleLoop = true }
 }
 
 // WithCheckpoint arranges for fn to receive a full system snapshot
@@ -272,7 +275,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	if ms.watchdog < 1024 {
 		ms.watchdog = 1024
 	}
-	if s.sched == SchedCycle {
+	if s.cycleLoop {
 		return s.runCycle(ctx, ms)
 	}
 	return s.runEvent(ctx, ms)
@@ -405,7 +408,7 @@ func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) erro
 			return s.diagnoseDeadlock(ms.watchdog)
 		}
 		if s.ckptEvery != 0 && cyc-s.lastCkpt >= s.ckptEvery {
-			if s.sched == SchedEvent {
+			if !s.cycleLoop {
 				// Normalize the component clocks the event loop left
 				// stale on skipped nodes, so a snapshot is identical
 				// in shape to a cycle-mode one and restores into

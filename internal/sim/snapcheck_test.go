@@ -16,7 +16,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"cycle", "visited",
 		"lastCkpt", // restored to the snapshot cycle so the cadence continues
 	}, map[string]string{
-		"sched":      "construction-time option; deliberately outside the snapshot so a checkpoint restores into either scheduler mode",
+		"cycleLoop":  "construction-time option; deliberately outside the snapshot so a checkpoint restores into either loop",
 		"cfg":        "construction-time configuration, part of the checkpoint content key",
 		"bankOf":     "pure function of the configuration",
 		"sink":       "provably empty at checkpoint instants: RunCtx drains it earlier in the same cold block",

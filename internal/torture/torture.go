@@ -85,20 +85,17 @@ type Options struct {
 	Runs    int // number of randomized configs (default 100)
 	Workers int // concurrent simulations (default GOMAXPROCS)
 	Seed    uint64
-	// Sched is the scheduler every primary run executes under (zero =
-	// sim.SchedEvent); replays run under the opposite one.
-	Sched sim.Scheduler
 
 	Cores     []int    // core-count choices (default {4, 8})
 	Instrs    []int    // per-core instruction-count choices (default {1000, 2500})
 	Workloads []string // default: the contended set above
 
-	// ReplayEvery re-runs every Nth config under the opposite scheduler
-	// and requires an identical (mode-normalized) sim.Result — both the
-	// determinism that makes repro lines trustworthy and the proof that
-	// the event and cycle schedulers agree across the whole sweep
-	// matrix, fault injection included. 0 disables replay; default
-	// every 5th run.
+	// ReplayEvery re-runs every Nth config under the cycle loop (see
+	// ReplayCheck) and requires an identical normalized sim.Result —
+	// both the determinism that makes repro lines trustworthy and the
+	// proof that the event loop agrees with the cycle loop across the
+	// whole sweep matrix, fault injection included. 0 disables replay;
+	// default every 5th run.
 	ReplayEvery int
 
 	CheckEvery uint64 // coherence-invariant interval (default 4096)
@@ -188,22 +185,14 @@ type RunSpec struct {
 
 	CheckEvery uint64
 	MaxCycles  uint64
-
-	// Sched is the scheduler the run executes under. Excluded from the
-	// JSON encoding (and therefore from ContentKey) on purpose: both
-	// schedulers produce the same run, so a checkpoint written under
-	// one resumes under the other.
-	Sched sim.Scheduler `json:"-"`
 }
 
-// ReproLine renders the one-line reproduction command.
+// ReproLine renders the one-line reproduction command. Running it
+// repeats the sweep's judgement of the spec (see Reproduce), replay
+// included, so every FAIL line — a replay mismatch too — reproduces.
 func (s RunSpec) ReproLine() string {
-	line := fmt.Sprintf("rowtorture -seed %#x -wl %s -variant %q -cores %d -instrs %d -faults %q",
+	return fmt.Sprintf("rowtorture -seed %#x -wl %s -variant %q -cores %d -instrs %d -faults %q",
 		s.Seed, s.Workload, s.Variant, s.Cores, s.Instrs, s.Faults.Spec())
-	if s.Sched != sim.SchedEvent {
-		line += " -sched " + s.Sched.String()
-	}
-	return line
 }
 
 // ContentKey hashes everything that determines the run — the spec
@@ -235,6 +224,12 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (sim.Result, error) {
 // whose content key does not match the spec fails the run with
 // *checkpoint.MismatchError rather than resuming foreign state.
 func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, path string) (sim.Result, error) {
+	return execute(ctx, spec, every, path)
+}
+
+// execute is ExecuteCheckpointed with extra construction options
+// (the cycle loop, for replays).
+func execute(ctx context.Context, spec RunSpec, every uint64, path string, extra ...sim.Option) (sim.Result, error) {
 	v, err := LookupVariant(spec.Variant)
 	if err != nil {
 		return sim.Result{}, err
@@ -250,7 +245,7 @@ func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, path s
 	}
 	// Torture runs double as the idle-skip cross-checker: every skip
 	// decision the scheduler makes is replayed and asserted a no-op.
-	opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(spec.Sched), sim.WithCrossCheck()}
+	opts := append([]sim.Option{sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithCrossCheck()}, extra...)
 	if spec.CheckEvery > 0 {
 		opts = append(opts, sim.WithInvariantChecks(spec.CheckEvery))
 	}
@@ -284,6 +279,40 @@ type ReplayMismatchError struct{ Detail string }
 
 func (e *ReplayMismatchError) Error() string {
 	return "replay mismatch (nondeterministic run): " + e.Detail
+}
+
+// ReplayCheck re-executes spec under the cycle loop and compares the
+// replay with primary, the passing event-loop result of the same spec.
+// A pass proves both determinism and loop equivalence on this spec
+// (fault mix included); results are compared normalized, as the
+// visited-cycle count is the one field allowed to differ. A failed or
+// different replay returns *ReplayMismatchError; a canceled one
+// returns its cancellation error unwrapped, since the run itself is
+// fine and only the check did not finish.
+func ReplayCheck(ctx context.Context, spec RunSpec, primary sim.Result) (sim.Result, error) {
+	res, err := execute(ctx, spec, 0, "", sim.WithCycleLoop())
+	switch {
+	case err != nil && lifecycle.Classify(err) == lifecycle.ClassCanceled:
+		return res, err
+	case err != nil:
+		return res, &ReplayMismatchError{Detail: fmt.Sprintf("cycle-loop replay failed where the event-loop run passed: %v", err)}
+	case res.SchedNormalized() != primary.SchedNormalized():
+		return res, &ReplayMismatchError{Detail: fmt.Sprintf("event-loop run %d cycles / %d messages, cycle-loop replay %d cycles / %d messages",
+			primary.Cycles, primary.NetworkMessages, res.Cycles, res.NetworkMessages)}
+	}
+	return res, nil
+}
+
+// Reproduce re-runs spec as the sweep judges a replayed run: the event
+// loop, then, when that passes, ReplayCheck under the cycle loop. It
+// returns both results; the error is the first failure of either.
+func Reproduce(ctx context.Context, spec RunSpec) (primary, replay sim.Result, err error) {
+	primary, err = ExecuteCtx(ctx, spec)
+	if err != nil {
+		return primary, sim.Result{}, err
+	}
+	replay, err = ReplayCheck(ctx, spec, primary)
+	return primary, replay, err
 }
 
 // Failure is one failed run, classified for the summary.
@@ -392,7 +421,6 @@ func specs(opt Options) []RunSpec {
 			Faults:     fl,
 			CheckEvery: opt.CheckEvery,
 			MaxCycles:  opt.MaxCycles,
-			Sched:      opt.Sched,
 		}
 	}
 	return out
@@ -450,26 +478,15 @@ func Torture(opt Options) Summary {
 				err := out.Err
 				replayed := false
 				if out.Status == lifecycle.StatusOK && opt.ReplayEvery > 0 && i%opt.ReplayEvery == 0 {
-					// The replay runs under the opposite scheduler: a pass
-					// proves both determinism and mode equivalence on this
-					// spec (fault mix included). Results are compared
-					// mode-normalized — the visited-cycle count is the one
-					// field allowed to differ.
 					replayed = true
-					other := spec
-					other.Sched = spec.Sched.Other()
-					res2, err2 := ExecuteCtx(ctx, other)
-					switch {
-					case err2 != nil && lifecycle.Classify(err2) == lifecycle.ClassCanceled:
-						// The sweep was interrupted mid-replay: the run is
-						// fine, the determinism check just did not finish.
-						replayed = false
-					case err2 != nil:
-						err = &ReplayMismatchError{Detail: fmt.Sprintf("%s-scheduler replay failed where the %s run passed: %v",
-							other.Sched, spec.Sched, err2)}
-					case res2.SchedNormalized() != out.Result.SchedNormalized():
-						err = &ReplayMismatchError{Detail: fmt.Sprintf("%s run %d cycles / %d messages, %s replay %d cycles / %d messages",
-							spec.Sched, out.Result.Cycles, out.Result.NetworkMessages, other.Sched, res2.Cycles, res2.NetworkMessages)}
+					if _, rerr := ReplayCheck(ctx, spec, out.Result); rerr != nil {
+						if lifecycle.Classify(rerr) == lifecycle.ClassCanceled {
+							// The sweep was interrupted mid-replay: the run
+							// is fine, the check just did not finish.
+							replayed = false
+						} else {
+							err = rerr
+						}
 					}
 					if err != nil {
 						// Override the journaled ok: the latest record per

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -76,60 +77,49 @@ func TestExecuteMatchesReproLine(t *testing.T) {
 	}
 }
 
-// TestExecuteSchedulerEquivalence: one spec executed under both
-// schedulers (faults on) must agree on everything but the
-// visited-cycle bookkeeping, and the repro line must name the
-// scheduler only when it is not the default.
+// replaySpec is a clean faulted spec for the replay tests.
+var replaySpec = RunSpec{
+	Seed:      0x9d1,
+	Workload:  "sps",
+	Variant:   "Lazy",
+	Cores:     4,
+	Instrs:    500,
+	Faults:    faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
+	MaxCycles: 5_000_000,
+}
+
+// TestExecuteSchedulerEquivalence: the repro path on a clean spec
+// (faults on) runs the event loop and then the cycle-loop replay, and
+// the two agree on everything but the visited-cycle bookkeeping.
 func TestExecuteSchedulerEquivalence(t *testing.T) {
-	spec := RunSpec{
-		Seed:      0x9d1,
-		Workload:  "sps",
-		Variant:   "Lazy",
-		Cores:     4,
-		Instrs:    500,
-		Faults:    faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
-		MaxCycles: 5_000_000,
-	}
-	spec.Sched = sim.SchedEvent
-	ev, err := Execute(spec)
+	ev, cy, err := Reproduce(context.Background(), replaySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Sched = sim.SchedCycle
-	cy, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
+	if ev.Cycles == 0 || cy.Cycles == 0 {
+		t.Fatalf("a loop did not run: event %d cycles, cycle %d cycles", ev.Cycles, cy.Cycles)
 	}
 	if ev.SchedNormalized() != cy.SchedNormalized() {
-		t.Fatalf("schedulers diverge:\nevent: %+v\ncycle: %+v", ev, cy)
-	}
-	if !strings.Contains(spec.ReproLine(), "-sched cycle") {
-		t.Errorf("cycle-mode repro line omits the scheduler: %q", spec.ReproLine())
-	}
-	spec.Sched = sim.SchedEvent
-	if strings.Contains(spec.ReproLine(), "-sched") {
-		t.Errorf("default-mode repro line names the scheduler: %q", spec.ReproLine())
+		t.Fatalf("loops diverge:\nevent: %+v\ncycle: %+v", ev, cy)
 	}
 }
 
-// TestSweepCycleSchedulerPrimary runs a miniature sweep with the cycle
-// scheduler as the primary mode, so the determinism replays execute
-// under the event scheduler — the reverse direction of the default.
-func TestSweepCycleSchedulerPrimary(t *testing.T) {
-	sum := Torture(Options{
-		Runs:        6,
-		Seed:        33,
-		Sched:       sim.SchedCycle,
-		Cores:       []int{4},
-		Instrs:      []int{500},
-		ReplayEvery: 2,
-		MaxCycles:   5_000_000,
-	})
-	if !sum.OK() {
-		t.Fatalf("sweep failed:\n%s", sum)
+// TestReplayCheckDetectsMismatch: a primary result the cycle-loop
+// replay does not reproduce is a replay mismatch, which is what makes
+// a replay-mismatch FAIL line fail again when re-run.
+func TestReplayCheckDetectsMismatch(t *testing.T) {
+	primary, err := Execute(replaySpec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sum.Replayed == 0 {
-		t.Fatalf("no runs replayed: %s", sum)
+	primary.Cycles++
+	_, err = ReplayCheck(context.Background(), replaySpec, primary)
+	var re *ReplayMismatchError
+	if !errors.As(err, &re) {
+		t.Fatalf("tampered primary: got %v, want *ReplayMismatchError", err)
+	}
+	if kind := Classify(err); kind != "replay-mismatch" {
+		t.Fatalf("Classify = %q, want replay-mismatch", kind)
 	}
 }
 
