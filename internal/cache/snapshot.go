@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"sort"
 
 	"rowsim/internal/coherence"
@@ -150,6 +151,24 @@ func (p *Private) Snapshot() *CacheSnap {
 	}
 	sort.Slice(s.FarDef, func(i, j int) bool { return s.FarDef[i].Line < s.FarDef[j].Line })
 	return s
+}
+
+// CheckSnap reports whether s fits this controller: the L1 and L2
+// snapshots must fit their arrays and the stride table must not
+// outgrow the prefetcher's. Restore panics on a snapshot CheckSnap
+// rejects, so callers restoring untrusted data (checkpoints) call it
+// first.
+func (p *Private) CheckSnap(s *CacheSnap) error {
+	if err := p.l1.CheckSnap(&s.L1); err != nil {
+		return fmt.Errorf("cache %d: l1: %w", p.coreID, err)
+	}
+	if err := p.l2.CheckSnap(&s.L2); err != nil {
+		return fmt.Errorf("cache %d: l2: %w", p.coreID, err)
+	}
+	if len(s.Strides) > len(p.strides) {
+		return fmt.Errorf("cache %d: snapshot has %d stride entries, prefetcher holds %d", p.coreID, len(s.Strides), len(p.strides))
+	}
+	return nil
 }
 
 // Restore rewinds the controller to a previously captured CacheSnap.

@@ -8,6 +8,14 @@
 //	header frame: uint32 length | JSON header | uint32 CRC32-C
 //	body frame:   uint32 length | JSON sim.SysSnap | uint32 CRC32-C
 //
+// The body is format version 2: each SRAM array (L1I, L1, L2, L3) is
+// stored sparsely, as its length plus one record per valid line (see
+// sram.Snap), and the per-slot ROB/LQ/SB/AQ and directory-entry
+// records omit their zero fields. A warmed 8-core checkpoint is a few
+// megabytes; version 1 stored every line of every array and was about
+// 31 MB. Load refuses a version-1 file with a *MismatchError, like any
+// other version.
+//
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
 // (configuration, workload parameters, seed, code revision; see
@@ -42,7 +50,8 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 1
+// Version 2 made SRAM snapshots sparse.
+const Version = 2
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.
@@ -301,8 +310,10 @@ func Saver(path, key string) func(cycle uint64, snap *sim.SysSnap) error {
 // Resume restores the newest valid checkpoint for path into s.
 // ok reports whether a checkpoint was restored; (0, false, nil) means
 // no checkpoint exists and the run should start fresh. Any other
-// failure — corruption of both slots, key mismatch, shape mismatch —
-// is returned as-is for the caller to surface.
+// failure — corruption of both slots, key mismatch, a body that does
+// not fit the system (shape, ring sizes, SRAM line indexes) — is
+// returned as-is for the caller to surface; a body that does not fit
+// leaves s unmodified.
 func Resume(s *sim.System, path, key string) (cycle uint64, ok bool, err error) {
 	snap, meta, err := Load(path, key)
 	if err != nil {

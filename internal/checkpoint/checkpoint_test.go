@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -13,10 +14,8 @@ import (
 	"rowsim/internal/workload"
 )
 
-// realSnap captures a mid-run snapshot from a real system, so the
-// round-trip tests exercise populated ROBs, MSHRs and mesh traffic
-// rather than a quiesced zero state.
-func realSnap(t *testing.T) *sim.SysSnap {
+// realSystem builds the warmed 2-core RoW sps system realSnap runs.
+func realSystem(t *testing.T, opts ...sim.Option) *sim.System {
 	t.Helper()
 	cfg := config.Default()
 	cfg.NumCores = 2
@@ -24,18 +23,25 @@ func realSnap(t *testing.T) *sim.SysSnap {
 	cfg.MaxCycles = 50_000_000
 	p := workload.MustGet("sps")
 	progs := workload.Generate(p, cfg.NumCores, 4000, 7)
-	var captured *sim.SysSnap
-	s, err := sim.New(cfg, progs,
-		sim.WithWarmFilter(workload.WarmFilter(p)),
-		sim.WithCheckpoint(2048, func(cycle uint64, snap *sim.SysSnap) error {
-			if captured == nil {
-				captured = snap
-			}
-			return nil
-		}))
+	s, err := sim.New(cfg, progs, append(opts, sim.WithWarmFilter(workload.WarmFilter(p)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// realSnap captures a mid-run snapshot from a real system, so the
+// round-trip tests exercise populated ROBs, MSHRs and mesh traffic
+// rather than a quiesced zero state.
+func realSnap(t *testing.T) *sim.SysSnap {
+	t.Helper()
+	var captured *sim.SysSnap
+	s := realSystem(t, sim.WithCheckpoint(2048, func(cycle uint64, snap *sim.SysSnap) error {
+		if captured == nil {
+			captured = snap
+		}
+		return nil
+	}))
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +105,8 @@ func TestLoadKeyMismatch(t *testing.T) {
 }
 
 func TestLoadVersionMismatch(t *testing.T) {
-	// Hand-build a checkpoint with a bumped version field.
+	// Hand-build checkpoints with an older (version 1: dense SRAM
+	// arrays) and a newer version field.
 	snap := tinySnap()
 	data, err := Encode("k", snap)
 	if err != nil {
@@ -109,17 +116,19 @@ func TestLoadVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta.Version = Version + 1
-	// Re-frame with the altered header.
-	hdr, _ := json.Marshal(meta)
-	body, _ := json.Marshal(snap)
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	buf = appendFrame(buf, hdr)
-	buf = appendFrame(buf, body)
-	var mm *MismatchError
-	if _, _, err := Decode("x", "k", buf); !errors.As(err, &mm) || mm.Field != "version" {
-		t.Fatalf("future-version checkpoint accepted: err=%v", err)
+	for _, v := range []int{1, Version + 1} {
+		meta.Version = v
+		// Re-frame with the altered header.
+		hdr, _ := json.Marshal(meta)
+		body, _ := json.Marshal(snap)
+		var buf []byte
+		buf = append(buf, magic[:]...)
+		buf = appendFrame(buf, hdr)
+		buf = appendFrame(buf, body)
+		var mm *MismatchError
+		if _, _, err := Decode("x", "k", buf); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != fmt.Sprint(v) {
+			t.Fatalf("version-%d checkpoint accepted: err=%v", v, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"rowsim/internal/config"
 	"rowsim/internal/faults"
 	"rowsim/internal/sim"
+	"rowsim/internal/sram"
 	"rowsim/internal/workload"
 )
 
@@ -117,6 +118,59 @@ func TestResumeEndToEnd(t *testing.T) {
 			if !reflect.DeepEqual(got3, want) {
 				t.Errorf("fallback-resumed run diverges from uninterrupted run:\nwant %+v\ngot  %+v", want, got3)
 			}
+		})
+	}
+}
+
+// TestResumeRejectsBadLineIndex: a CRC-valid checkpoint whose SRAM
+// snapshot names a line index out of range, or the same index twice,
+// is refused by Resume with an error — not a panic — and the system it
+// was to be restored into is left exactly as it was.
+func TestResumeRejectsBadLineIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(s *sim.SysSnap) *sram.Snap
+	}{
+		{"l3_out_of_range", func(s *sim.SysSnap) *sram.Snap {
+			l3 := &s.Dirs[0].L3
+			l3.Lines[len(l3.Lines)-1].Idx = l3.Len
+			return l3
+		}},
+		{"l3_duplicate", func(s *sim.SysSnap) *sram.Snap {
+			l3 := &s.Dirs[1].L3
+			l3.Lines[1].Idx = l3.Lines[0].Idx
+			return l3
+		}},
+		{"l2_duplicate", func(s *sim.SysSnap) *sram.Snap {
+			l2 := &s.Caches[1].L2
+			l2.Lines[2].Idx = l2.Lines[1].Idx
+			return l2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := realSnap(t)
+			if bad := tc.tamper(snap); bad.Check() == nil {
+				t.Fatal("tampering left a valid SRAM snapshot")
+			}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			if err := Save(path, "k", snap); err != nil {
+				t.Fatal(err)
+			}
+			s := realSystem(t)
+			before := s.Snapshot()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Resume panicked: %v", r)
+					}
+				}()
+				if _, ok, err := Resume(s, path, "k"); err == nil || ok {
+					t.Fatalf("Resume accepted a bad line index: ok=%v err=%v", ok, err)
+				} else {
+					t.Logf("Resume: %v", err)
+				}
+			}()
+			snapEqual(t, s.Snapshot(), before)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"sort"
 
 	"rowsim/internal/sram"
@@ -45,23 +46,24 @@ func (p *MsgPool) Restore(s PoolSnap) {
 // DirPending mirrors the directory's in-flight transaction context
 // with exported fields.
 type DirPending struct {
-	Requestor int
-	IsWrite   bool
-	Far       bool
-	FarAcks   int
-	FarData   bool
+	Requestor int  `json:",omitempty"`
+	IsWrite   bool `json:",omitempty"`
+	Far       bool `json:",omitempty"`
+	FarAcks   int  `json:",omitempty"`
+	FarData   bool `json:",omitempty"`
 }
 
 // DirEntrySnap is the exported view of one directory entry. The model
 // checker also uses it (via EntryView) as the canonical encoding of a
-// bank's per-line state.
+// bank's per-line state. Zero fields are omitted from the encoding and
+// decode back to zero; Pend, a struct, always encodes (as {} when idle).
 type DirEntrySnap struct {
-	State   uint8
-	Owner   int
-	Sharers uint64
-	Blocked bool
+	State   uint8  `json:",omitempty"`
+	Owner   int    `json:",omitempty"`
+	Sharers uint64 `json:",omitempty"`
+	Blocked bool   `json:",omitempty"`
 	Pend    DirPending
-	Waiting []Msg // queued requests, FIFO, copied by value
+	Waiting []Msg `json:",omitempty"` // queued requests, FIFO, copied by value
 }
 
 // DirSnap is a deep copy of one bank's mutable protocol state. Stats
@@ -105,6 +107,16 @@ func (d *Directory) Snapshot() *DirSnap {
 		s.Lines[line] = e.snap()
 	}
 	return s
+}
+
+// CheckSnap reports whether s fits this bank: its L3 snapshot must fit
+// the array. Restore panics on a snapshot CheckSnap rejects, so callers
+// restoring untrusted data (checkpoints) call it first.
+func (d *Directory) CheckSnap(s *DirSnap) error {
+	if err := d.l3.CheckSnap(&s.L3); err != nil {
+		return fmt.Errorf("directory bank %d: l3: %w", d.bank, err)
+	}
+	return nil
 }
 
 // Restore rewinds the bank to a previously captured DirSnap. Waiting

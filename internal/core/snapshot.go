@@ -18,7 +18,10 @@ import (
 //   - Ring buffers (ROB, LQ, SB, AQ, execution wheel) are serialized in
 //     full, dead slots included. A dead ROB slot still carries its token
 //     counter, which dispatch reads to invalidate stale wheel events —
-//     dropping dead slots would fork the token sequence.
+//     dropping dead slots would fork the token sequence. The entry
+//     records tag every field omitempty: an omitted field decodes to
+//     its zero value, so the encoding stays exact while a dead slot
+//     costs only its non-zero fields.
 //   - Instruction pointers are serialized as program indexes. The trace
 //     is a pure function of (params, cores, instrs, seed), so the caller
 //     regenerates it and Restore rebinds in = &prog[pi]; the checkpoint
@@ -37,71 +40,71 @@ type DepRef struct {
 // represented by Pi, the program index (-1 when the slot never held an
 // instruction).
 type ROBEntrySnap struct {
-	Valid bool   `json:"valid"`
-	ID    uint64 `json:"id"`
-	Pi    int32  `json:"pi"`
-	St    uint8  `json:"st"`
+	Valid bool   `json:"valid,omitempty"`
+	ID    uint64 `json:"id,omitempty"`
+	Pi    int32  `json:"pi,omitempty"`
+	St    uint8  `json:"st,omitempty"`
 
-	SrcPending int8     `json:"src_pending"`
-	Token      uint16   `json:"token"`
-	Deps       []DepRef `json:"deps"`
+	SrcPending int8     `json:"src_pending,omitempty"`
+	Token      uint16   `json:"token,omitempty"`
+	Deps       []DepRef `json:"deps,omitempty"`
 
-	DispatchAt uint64 `json:"dispatch_at"`
-	CompleteAt uint64 `json:"complete_at"`
+	DispatchAt uint64 `json:"dispatch_at,omitempty"`
+	CompleteAt uint64 `json:"complete_at,omitempty"`
 
-	Line      uint64 `json:"line"`
-	AddrReady bool   `json:"addr_ready"`
-	LQ        int64  `json:"lq"`
-	SB        int64  `json:"sb"`
-	AQ        int64  `json:"aq"`
+	Line      uint64 `json:"line,omitempty"`
+	AddrReady bool   `json:"addr_ready,omitempty"`
+	LQ        int64  `json:"lq,omitempty"`
+	SB        int64  `json:"sb,omitempty"`
+	AQ        int64  `json:"aq,omitempty"`
 
-	WaitStoreID uint64 `json:"wait_store_id"`
-	Mispred     bool   `json:"mispred"`
-	ValueReady  bool   `json:"value_ready"`
+	WaitStoreID uint64 `json:"wait_store_id,omitempty"`
+	Mispred     bool   `json:"mispred,omitempty"`
+	ValueReady  bool   `json:"value_ready,omitempty"`
 
-	Lazy          bool   `json:"lazy"`
-	PredContended bool   `json:"pred_contended"`
-	AddrCalcDone  bool   `json:"addr_calc_done"`
-	Locked        bool   `json:"locked"`
-	LockAt        uint64 `json:"lock_at"`
-	LockIssueAt   uint64 `json:"lock_issue_at"`
+	Lazy          bool   `json:"lazy,omitempty"`
+	PredContended bool   `json:"pred_contended,omitempty"`
+	AddrCalcDone  bool   `json:"addr_calc_done,omitempty"`
+	Locked        bool   `json:"locked,omitempty"`
+	LockAt        uint64 `json:"lock_at,omitempty"`
+	LockIssueAt   uint64 `json:"lock_issue_at,omitempty"`
 }
 
 // SBEntrySnap is the exported view of one store-buffer slot.
 type SBEntrySnap struct {
-	ID        uint64 `json:"id"`
-	Slot      uint32 `json:"slot"`
-	Line      uint64 `json:"line"`
-	AddrReady bool   `json:"addr_ready"`
-	Committed bool   `json:"committed"`
-	IsAtomic  bool   `json:"is_atomic"`
-	NoWrite   bool   `json:"no_write"`
+	ID        uint64 `json:"id,omitempty"`
+	Slot      uint32 `json:"slot,omitempty"`
+	Line      uint64 `json:"line,omitempty"`
+	AddrReady bool   `json:"addr_ready,omitempty"`
+	Committed bool   `json:"committed,omitempty"`
+	IsAtomic  bool   `json:"is_atomic,omitempty"`
+	NoWrite   bool   `json:"no_write,omitempty"`
 }
 
 // LQEntrySnap is the exported view of one load-queue slot.
 type LQEntrySnap struct {
-	ID       uint64 `json:"id"`
-	Slot     uint32 `json:"slot"`
-	Line     uint64 `json:"line"`
-	HasLine  bool   `json:"has_line"`
-	IsAtomic bool   `json:"is_atomic"`
-	Done     bool   `json:"done"`
+	ID       uint64 `json:"id,omitempty"`
+	Slot     uint32 `json:"slot,omitempty"`
+	Line     uint64 `json:"line,omitempty"`
+	HasLine  bool   `json:"has_line,omitempty"`
+	IsAtomic bool   `json:"is_atomic,omitempty"`
+	Done     bool   `json:"done,omitempty"`
 }
 
 // AQEntrySnap is the exported view of one Atomic Queue slot.
 type AQEntrySnap struct {
-	ID        uint64 `json:"id"`
-	Slot      uint32 `json:"slot"`
-	PC        uint64 `json:"pc"`
-	Line      uint64 `json:"line"`
-	HasAddr   bool   `json:"has_addr"`
-	Locked    bool   `json:"locked"`
-	Contended bool   `json:"contended"`
-	IssuedAt  uint64 `json:"issued_at"`
-	LockAt    uint64 `json:"lock_at"`
+	ID        uint64 `json:"id,omitempty"`
+	Slot      uint32 `json:"slot,omitempty"`
+	PC        uint64 `json:"pc,omitempty"`
+	Line      uint64 `json:"line,omitempty"`
+	HasAddr   bool   `json:"has_addr,omitempty"`
+	Locked    bool   `json:"locked,omitempty"`
+	Contended bool   `json:"contended,omitempty"`
+	IssuedAt  uint64 `json:"issued_at,omitempty"`
+	LockAt    uint64 `json:"lock_at,omitempty"`
 
-	PredContended bool `json:"pred_contended"`
-	Trainable     bool `json:"trainable"`
+	PredContended bool `json:"pred_contended,omitempty"`
+	Trainable     bool `json:"trainable,omitempty"`
 }
 
 // WheelEventSnap is the exported view of one scheduled completion.
@@ -268,14 +271,32 @@ func (c *Core) Snapshot() *CoreSnap {
 	return s
 }
 
+// CheckSnap reports whether s fits this core: ring, rename-table and
+// wheel sizes must match, and the L1I snapshot must fit the array.
+// Restore panics on a snapshot CheckSnap rejects, so callers restoring
+// untrusted data (checkpoints) call it first.
+func (c *Core) CheckSnap(s *CoreSnap) error {
+	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) {
+		return fmt.Errorf("core %d: snapshot rings rob=%d lq=%d sb=%d aq=%d do not match core rob=%d lq=%d sb=%d aq=%d",
+			c.id, len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(c.rob), len(c.lq), len(c.sb), len(c.aq))
+	}
+	if len(s.Rename) != trace.NumRegs || len(s.Wheel) != len(c.wheel) {
+		return fmt.Errorf("core %d: snapshot rename=%d wheel=%d do not match core rename=%d wheel=%d",
+			c.id, len(s.Rename), len(s.Wheel), trace.NumRegs, len(c.wheel))
+	}
+	if err := c.l1i.CheckSnap(&s.L1I); err != nil {
+		return fmt.Errorf("core %d: l1i: %w", c.id, err)
+	}
+	return nil
+}
+
 // Restore rewinds the core to a previously captured CoreSnap. The core
 // must have been built by core.New with the same configuration and the
 // same (regenerated) program — instruction pointers are rebound to
 // prog by the serialized program indexes.
 func (c *Core) Restore(s *CoreSnap) {
-	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) {
-		panic(fmt.Sprintf("core: restoring snapshot with rings rob=%d lq=%d sb=%d aq=%d into core with rob=%d lq=%d sb=%d aq=%d",
-			len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(c.rob), len(c.lq), len(c.sb), len(c.aq)))
+	if err := c.CheckSnap(s); err != nil {
+		panic(err)
 	}
 	c.fetchIdx = s.FetchIdx
 	c.fetchHoldBy = s.FetchHoldBy

@@ -72,7 +72,9 @@ func (s *System) Snapshot() *SysSnap {
 // system must have been built by sim.New with the same configuration
 // and the same (regenerated) programs; the caller is expected to have
 // verified that via the checkpoint content key, so a shape mismatch
-// here reports an error rather than guessing.
+// here reports an error rather than guessing. Every component snapshot
+// is checked (ring and table sizes, SRAM lengths and line indexes)
+// before any state is written: on error the system is unmodified.
 func (s *System) RestoreSnap(snap *SysSnap) error {
 	if len(snap.Cores) != len(s.cores) || len(snap.Caches) != len(s.caches) || len(snap.Dirs) != len(s.dirs) {
 		return fmt.Errorf("sim: snapshot shape %d cores/%d caches/%d dirs does not match system %d/%d/%d",
@@ -80,6 +82,32 @@ func (s *System) RestoreSnap(snap *SysSnap) error {
 	}
 	if s.injector == nil && snap.Faults != (faults.InjectorSnap{}) {
 		return fmt.Errorf("sim: snapshot carries fault-injector state but the system has no injector")
+	}
+	// Check every component snapshot before touching any component, so
+	// a malformed checkpoint is an error and leaves the system as it was.
+	for i, c := range s.cores {
+		if snap.Cores[i] == nil {
+			return fmt.Errorf("sim: snapshot has no state for core %d", i)
+		}
+		if err := c.CheckSnap(snap.Cores[i]); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	for i, pc := range s.caches {
+		if snap.Caches[i] == nil {
+			return fmt.Errorf("sim: snapshot has no state for cache %d", i)
+		}
+		if err := pc.CheckSnap(snap.Caches[i]); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	for i, d := range s.dirs {
+		if snap.Dirs[i] == nil {
+			return fmt.Errorf("sim: snapshot has no state for directory bank %d", i)
+		}
+		if err := d.CheckSnap(snap.Dirs[i]); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
 	}
 	s.cycle = snap.Cycle
 	s.visited = snap.Visited
